@@ -1217,10 +1217,8 @@ void Comm::alltoallv(BytesView sendbuf,
                      std::span<const std::size_t> recvcounts,
                      std::span<const std::size_t> recvdispls) {
   const auto n = static_cast<std::size_t>(size());
-  if (sendcounts.size() != n || senddispls.size() != n ||
-      recvcounts.size() != n || recvdispls.size() != n) {
-    throw MpiError("alltoallv: count/displacement arrays must have size() entries");
-  }
+  validate_alltoallv_blocks(n, sendcounts, senddispls, sendbuf.size());
+  validate_alltoallv_blocks(n, recvcounts, recvdispls, recvbuf.size());
   guarded([&] {
     ft_guard(/*post=*/true);
     note_collective(verify::CollKind::kAlltoallv, -1, 0);

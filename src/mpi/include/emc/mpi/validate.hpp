@@ -7,6 +7,8 @@
 // could never be sent.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
 
 #include "emc/mpi/types.hpp"
@@ -38,6 +40,28 @@ inline void validate_peer(int peer, int size) {
 /// Like validate_peer, but kAnySource is accepted (receive matching).
 inline void validate_recv_peer(int peer, int size) {
   if (peer != kAnySource) validate_peer(peer, size);
+}
+
+/// alltoallv layout check, run by both layers before anything is
+/// sealed or posted: @p counts and @p displs hold @p n entries and
+/// every block [displs[i], displs[i] + counts[i]) lies inside a buffer
+/// of @p size bytes. Written so that no sum can wrap.
+inline void validate_alltoallv_blocks(std::size_t n,
+                                      std::span<const std::size_t> counts,
+                                      std::span<const std::size_t> displs,
+                                      std::size_t size) {
+  if (counts.size() != n || displs.size() != n) {
+    throw MpiError(
+        "alltoallv: count/displacement arrays must have size() entries");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (displs[i] > size || counts[i] > size - displs[i]) {
+      throw MpiError("alltoallv: block " + std::to_string(i) + " (displ " +
+                     std::to_string(displs[i]) + ", count " +
+                     std::to_string(counts[i]) + ") overruns its " +
+                     std::to_string(size) + "-byte buffer");
+    }
+  }
 }
 
 /// Shared rejection path for wait() on an invalid request: reports a

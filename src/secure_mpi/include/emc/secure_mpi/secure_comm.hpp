@@ -4,15 +4,15 @@
 // payload with AES-GCM under a user-selectable cryptographic provider.
 // Framing per message (Fig. 1): a fresh 12-byte nonce, the ciphertext,
 // and the 16-byte authentication tag — 28 bytes of wire expansion.
-// Collectives follow Algorithm 1: encrypt each outgoing block with a
-// fresh nonce, run the ordinary collective on nonce||ct||tag blocks,
-// decrypt each received block. Decryption for non-blocking receives
-// happens inside wait(), preserving the non-blocking property.
+// Messages, pipelined chunks and collective blocks share one seal and
+// one open. Collectives follow Algorithm 1: seal each outgoing block,
+// run the ordinary collective on the sealed blocks, open each received
+// block. Non-blocking receives decrypt inside wait().
 //
-// Inside the simulation, seal/open really execute on the host and
-// their measured wall time is charged to the calling rank's virtual
-// clock, so encryption cost and network cost compose exactly as they
-// would on a real cluster.
+// Seal/open really execute on the host. Their cost is billed to the
+// rank's virtual clock as the measured wall time, or as analytic time
+// (CryptoCostModel) for deterministic timelines; pipelined chunks bill
+// simulated helper cores instead (docs/PIPELINE.md).
 #pragma once
 
 #include <cstdint>
@@ -116,6 +116,7 @@ struct SecureConfig {
   /// out): when true, every message authenticates a context of
   /// (source, destination, tag, per-channel sequence number) as AAD,
   /// so replayed, re-routed, or re-ordered ciphertexts are rejected.
+  /// The context is 24 bytes: src(4)||dst(4)||tag(4)||kind(4)||seq(8).
   bool bind_context = false;
 
   /// Sliding acceptance window over the per-channel sequence numbers
@@ -304,28 +305,35 @@ class SecureComm final : public mpi::Communicator {
   }
 
  private:
-  /// nonce || ct || tag for @p pt, written at @p out (wire_size(pt)),
-  /// authenticating @p aad (empty unless context binding is on).
-  /// @p peer (comm-local, >= 0 for point-to-point traffic) selects the
-  /// keyring's per-link epoch key when a keyring is configured; -1
-  /// (collectives) always seals under the group key.
-  void seal_into(BytesView pt, MutBytes out, BytesView aad = {},
-                 int peer = -1);
-
-  /// Inverse of seal_into; throws IntegrityError on tag failure.
-  /// @p wire is nonce||ct||tag; @p out receives wire.size()-28 bytes.
-  void open_into(BytesView wire, MutBytes out, BytesView aad = {});
-
-  /// Non-throwing open: true and plaintext in @p out on success.
-  /// Charges crypto time; the caller accounts accepted messages. For
-  /// keyring links (@p peer >= 0), trial-opens the link's epoch
-  /// candidates (current, ahead up to max_skew, grace) — each trial is
-  /// one charged open — and reports the success to the keyring.
-  [[nodiscard]] bool try_open_into(BytesView wire, MutBytes out,
-                                   BytesView aad, int peer = -1);
+  /// Who bills a frame's crypto: the rank's own clock (charged_crypto)
+  /// or a helper core (helper_crypto; pipelined chunks only).
+  enum class Billing : std::uint8_t { kCharged, kHelper };
 
   /// True when @p peer's point-to-point traffic uses the keyring.
   [[nodiscard]] bool keyring_link(int peer) const noexcept;
+
+  /// Key source of a seal to @p peer (-1: collective): a keyring link's
+  /// epoch key with a world-rank || seq nonce, else the group key with
+  /// next_nonce. Writes the nonce to @p nonce.
+  const crypto::AeadKey* seal_key(int peer,
+                                  std::uint8_t nonce[crypto::kGcmNonceBytes]);
+
+  /// The one seal: nonce || ct || tag of @p pt at @p out under @p peer's
+  /// key source, authenticating @p aad. Returns when the frame may
+  /// leave: now(), or the helper core's completion time.
+  double seal_frame(BytesView pt, MutBytes out, BytesView aad, int peer,
+                    Billing billing);
+
+  /// The one open: trial-opens @p wire into @p out under each of
+  /// @p peer's keys (keyring links: every epoch candidate). Returns when
+  /// the plaintext is ready, or nullopt on authentication failure; the
+  /// caller counts accepted messages.
+  std::optional<double> open_frame(BytesView wire, MutBytes out,
+                                   BytesView aad, int peer, Billing billing);
+
+  /// Seals a point-to-point payload for (@p dst, @p tag) into a fresh
+  /// wire buffer, drawing the channel's next sequence number.
+  Bytes seal_p2p(BytesView data, int dst, int tag);
 
   /// Hop-trusted routes only: counts the re-seal every relay on the
   /// way to @p peer performs under the group key against the
@@ -336,21 +344,9 @@ class SecureComm final : public mpi::Communicator {
   /// keyring links (their per-link budget rotates online instead).
   void charge_relay_reseals(int peer);
 
-  /// Keyring seal setup for one message/chunk to @p peer: fetches the
-  /// epoch seal key (ratcheting in place on budget/interval triggers —
-  /// billed on the key_mgmt lane), writes the rank||seq nonce (the two
-  /// directions of a link share the epoch key; the rank prefix keeps
-  /// their nonce streams disjoint), returns the AEAD to seal under.
-  const crypto::AeadKey* keyring_seal(int peer,
-                                      std::uint8_t out[crypto::kGcmNonceBytes]);
-
-  /// Keyring open: trial-opens the link's epoch candidates (current,
-  /// ahead up to max_skew, grace) and reports a success to the
-  /// keyring. When @p charged, every trial is one charged open
-  /// (point-to-point path); uncharged trials are for pipelined chunks,
-  /// whose time the helper cores bill.
-  [[nodiscard]] bool keyring_open(int peer, BytesView wire, BytesView aad,
-                                  MutBytes out, bool charged);
+  /// Counts one detection in @p detections (a CryptoCounters fault
+  /// counter) and throws IntegrityError(@p what, naming this rank).
+  [[noreturn]] void reject(std::uint64_t& detections, const std::string& what);
 
   /// Validates a received wire length BEFORE any size arithmetic:
   /// anything outside [kWireOverhead, wire_size(capacity)] throws
@@ -358,22 +354,13 @@ class SecureComm final : public mpi::Communicator {
   /// plaintext length.
   std::size_t checked_pt_len(std::size_t wire_bytes, std::size_t capacity);
 
-  /// Shared completion of a point-to-point receive: length check,
-  /// open (with the sliding replay window when configured), status
-  /// rewrite to plaintext size. Returns std::nullopt when the message
-  /// was a benign fabric duplicate absorbed by the window — the caller
-  /// must loop and receive the next message. When the reliability
-  /// layer is on, an authentication failure that the ARQ stash can
-  /// explain is NACKed and retransmitted in place (@p wire_buf is
-  /// rewritten with the clean copy) instead of thrown. When @p
-  /// became_chunked is non-null and an ARQ recovery reveals the clean
-  /// frame is actually a pipelined chunk (the damage had destroyed
-  /// the magic), it is set and std::nullopt returned so the caller
-  /// can re-dispatch to the chunked path.
-  std::optional<mpi::Status> open_p2p(MutBytes wire_buf,
-                                      const mpi::Status& wire_status,
-                                      MutBytes user,
-                                      bool* became_chunked = nullptr);
+  /// Outcome of authenticating one unchunked frame.
+  enum class P2pOpen : std::uint8_t { kDelivered, kDuplicate, kForged };
+
+  /// Authenticates an unchunked frame from (@p src, @p tag) into
+  /// @p out, with the sliding replay window when configured. kDuplicate:
+  /// a benign fabric duplicate was absorbed; a replay throws.
+  P2pOpen open_p2p(BytesView wire, MutBytes out, int src, int tag);
 
   // ------------------------------------------------- chunked pipeline
   // (docs/PIPELINE.md; all billing below is analytic — helper cores
@@ -392,29 +379,22 @@ class SecureComm final : public mpi::Communicator {
   }
 
   /// Schedules one chunk's seal/open of @p bytes plaintext on the
-  /// earliest-free helper core, no earlier than @p ready (the chunk's
+  /// earliest-free helper core, no earlier than now() (the chunk's
   /// data-available time). Returns the completion time and records a
   /// crypto_helper trace span on the core's lane. With helper_cores
   /// == 0 (or crypto charging off) the cost is billed serially on the
   /// main clock instead and now() is returned.
   double helper_crypto(std::size_t bytes, bool encrypt);
 
-  /// Seals @p pt as the chunk AEAD frame at @p out (wire_size(pt)
-  /// bytes, already behind the plaintext header) and returns the
-  /// helper-core completion time — the chunk's wire_not_before.
-  /// Draws the nonce from the sanctioned stream (per-chunk exhaustion
-  /// guard; keyring links use their epoch key and rank||seq stream)
-  /// and bills analytically via helper_crypto.
-  double seal_chunk(BytesView pt, MutBytes out, BytesView aad, int peer);
-
   /// Sender side of the pipeline: chunk, seal on helper cores, send
   /// each frame with its seal-completion wire gate.
   void send_pipelined(BytesView data, int dst, int tag);
 
-  /// Dispatches one received frame: pipelined chunk frames (magic +
-  /// consistent header) go to open_pipelined, everything else to
-  /// open_p2p; an ARQ recovery that flips the classification
-  /// re-dispatches. Same nullopt contract as open_p2p.
+  /// Completes one received frame: chunk frames go to open_pipelined,
+  /// the rest through the length check to open_p2p. A failure the ARQ
+  /// stash can explain is NACKed, the clean copy rewritten into
+  /// @p wire_buf and classified again. std::nullopt: a benign duplicate
+  /// was absorbed; the caller must receive the next message.
   std::optional<mpi::Status> open_any(MutBytes wire_buf,
                                       const mpi::Status& wire_status,
                                       MutBytes user);
@@ -429,12 +409,32 @@ class SecureComm final : public mpi::Communicator {
                                             const mpi::Status& wire_status,
                                             MutBytes user);
 
-  /// Context AAD helpers (replay-protection extension). The 28-byte
-  /// AAD layout is src(4) || dst(4) || tag(4) || kind(8) || seq(8).
-  [[nodiscard]] Bytes p2p_aad(int src, int dst, int tag,
-                              std::uint64_t seq) const;
-  /// Next sequence number for the (peer, tag) send channel.
-  [[nodiscard]] std::uint64_t next_send_seq(int dst, int tag);
+  /// One block of a sealed collective: plaintext bytes [offset,
+  /// offset + len) of the caller's buffer, exchanged with rank peer.
+  struct Block {
+    std::size_t offset = 0;
+    std::size_t len = 0;
+    int peer = 0;
+  };
+  /// One direction of a sealed collective on the wire: the sealed
+  /// blocks back to back, with alltoallv-style counts and offsets.
+  struct Wire {
+    Bytes buf;
+    std::vector<std::size_t> counts;
+    std::vector<std::size_t> displs;
+  };
+
+  /// @p n blocks of @p len bytes back to back, block i with rank i.
+  static std::vector<Block> per_rank(std::size_t n, std::size_t len);
+
+  /// Algorithm 1 for every collective: seals each send block, runs
+  /// @p plain (the plain collective) on the wire buffers, opens each
+  /// receive block. Callers check their layouts first. @p to_all: the
+  /// blocks are addressed to every rank (bcast, allgather).
+  void sealed_exchange(BytesView send, std::span<const Block> send_blocks,
+                       MutBytes recv, std::span<const Block> recv_blocks,
+                       bool to_all,
+                       const std::function<void(Wire&, Wire&)>& plain);
 
   /// Runs @p work (a seal when @p encrypt, else an open of @p bytes
   /// plaintext bytes) and bills its cost to the virtual clock when
@@ -444,6 +444,11 @@ class SecureComm final : public mpi::Communicator {
   /// measured host seconds.
   double charged_crypto(const std::function<void()>& work, std::size_t bytes,
                         bool encrypt);
+
+  /// Advances this rank's clock by @p seconds of analytic time and
+  /// records the span on its trace lane.
+  void bill(double seconds, trace::Category category, int peer = -1,
+            std::uint64_t bytes = 0);
 
   void next_nonce(std::uint8_t out[crypto::kGcmNonceBytes]);
 

@@ -1,6 +1,7 @@
 #include "emc/secure_mpi/secure_comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 
@@ -14,7 +15,6 @@ namespace emc::secure {
 namespace {
 
 using crypto::kGcmNonceBytes;
-using crypto::kGcmTagBytes;
 using crypto::kWireOverhead;
 
 /// Request state for a non-blocking encrypted send: keeps the wire
@@ -61,6 +61,49 @@ bool pipe_header_plausible(const PipeChunkHeader& h, std::size_t frame_bytes,
   return h.count >= 1 && h.index < h.count && h.offset <= capacity &&
          h.chunk_len <= capacity - h.offset &&
          frame_bytes == kPipeHeaderBytes + SecureComm::wire_size(h.chunk_len);
+}
+
+/// Analytic virtual seconds of one seal (@p encrypt) or open of
+/// @p bytes plaintext bytes.
+double model_cost(const CryptoCostModel& m, std::size_t bytes, bool encrypt) {
+  return encrypt
+             ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
+             : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
+}
+
+constexpr std::size_t kContextBytes = 24;
+
+enum class AadKind : std::uint32_t { kP2p = 0, kCollective = 1 };
+
+/// A frame's AAD, on the stack (docs/PIPELINE.md, "Wire format").
+struct FrameAad {
+  std::array<std::uint8_t, kPipeHeaderBytes + kContextBytes> bytes{};
+  std::size_t len = 0;
+  [[nodiscard]] BytesView view() const { return {bytes.data(), len}; }
+};
+
+/// The one AAD builder: the chunk header when @p chunk_header is
+/// non-null (pipelined chunks authenticate every field the receiver
+/// steers by), then, with @p bind (SecureConfig::bind_context), the
+/// 24-byte context src(4) || dst(4) || tag(4) || kind(4) || seq(8),
+/// big-endian. dst -1 addresses every rank of a collective.
+FrameAad frame_aad(bool bind, const std::uint8_t* chunk_header, int src,
+                   int dst, int tag, AadKind kind, std::uint64_t seq) {
+  FrameAad aad;
+  if (chunk_header != nullptr) {
+    std::memcpy(aad.bytes.data(), chunk_header, kPipeHeaderBytes);
+    aad.len = kPipeHeaderBytes;
+  }
+  if (bind) {
+    std::uint8_t* ctx = aad.bytes.data() + aad.len;
+    store_be32(ctx, static_cast<std::uint32_t>(src));
+    store_be32(ctx + 4, static_cast<std::uint32_t>(dst));
+    store_be32(ctx + 8, static_cast<std::uint32_t>(tag));
+    store_be32(ctx + 12, static_cast<std::uint32_t>(kind));
+    store_be64(ctx + 16, seq);
+    aad.len += kContextBytes;
+  }
+  return aad;
 }
 
 }  // namespace
@@ -120,33 +163,18 @@ double SecureComm::charged_crypto(const std::function<void()>& work,
                                   std::size_t bytes, bool encrypt) {
   const auto category = encrypt ? trace::Category::kCryptoEncrypt
                                 : trace::Category::kCryptoDecrypt;
-  if (!config_.charge_crypto) {
+  if (!config_.charge_crypto || config_.cost_model) {
     // EMC_LINT_ALLOW(det-clock): measurement-mode only — the host
     // seconds feed BENCH JSON metrics, never the virtual timeline.
     WallTimer timer;
     work();
-    return timer.seconds();
-  }
-  if (config_.cost_model) {
-    // Analytic billing: the crypto really executes (semantics and
-    // counters unchanged) but virtual time advances by the model, so
-    // encrypted timelines are deterministic.
-    // EMC_LINT_ALLOW(det-clock): same measurement-mode host read; the
-    // virtual clock advances by the analytic model below.
-    WallTimer timer;
-    work();
     const double elapsed = timer.seconds();
-    const CryptoCostModel& m = *config_.cost_model;
-    const double cost =
-        encrypt ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
-                : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
-    sim::Process& proc = comm_->process();
-    const double begin = proc.now();
-    proc.advance(cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      // Trace rows are world-rank-indexed; on a shrunken communicator
-      // the local rank() no longer names the right row.
-      rec->record(proc.index(), category, begin, proc.now(), -1, bytes);
+    if (config_.charge_crypto) {
+      // Analytic billing: the crypto really executes (semantics and
+      // counters unchanged) but virtual time advances by the model, so
+      // encrypted timelines are deterministic.
+      bill(model_cost(*config_.cost_model, bytes, encrypt), category, -1,
+           bytes);
     }
     return elapsed;
   }
@@ -158,12 +186,28 @@ double SecureComm::charged_crypto(const std::function<void()>& work,
   return comm_->process().charge(work);
 }
 
+void SecureComm::bill(double seconds, trace::Category category, int peer,
+                      std::uint64_t bytes) {
+  sim::Process& proc = comm_->process();
+  const double begin = proc.now();
+  proc.advance(seconds);
+  if (trace::TraceRecorder* rec = comm_->world().trace()) {
+    // Trace rows are world-rank-indexed; on a shrunken communicator the
+    // local rank() no longer names the right row.
+    rec->record(proc.index(), category, begin, proc.now(), peer, bytes);
+  }
+}
+
 bool SecureComm::keyring_link(int peer) const noexcept {
   return config_.keyring != nullptr && peer >= 0;
 }
 
-const crypto::AeadKey* SecureComm::keyring_seal(
-    int peer, std::uint8_t out[kGcmNonceBytes]) {
+const crypto::AeadKey* SecureComm::seal_key(
+    int peer, std::uint8_t nonce[kGcmNonceBytes]) {
+  if (!keyring_link(peer)) {
+    next_nonce(nonce);
+    return key_.get();
+  }
   keys::LinkKeyring& ring = *config_.keyring;
   const int link = comm_->to_world(peer);
   const keys::LinkKeyring::SealKey sk =
@@ -173,54 +217,14 @@ const crypto::AeadKey* SecureComm::keyring_seal(
     // chain key instead of stopping on NonceExhaustedError. Bill the
     // chain step analytically on the key_mgmt lane.
     ++counters_.link_ratchets;
-    sim::Process& proc = comm_->process();
-    const double begin = proc.now();
-    proc.advance(ring.ratchet().step_cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      rec->record(proc.index(), trace::Category::kKeyMgmt, begin, proc.now(),
-                  link);
-    }
+    bill(ring.ratchet().step_cost, trace::Category::kKeyMgmt, link);
   }
   // Both endpoints seal under the same epoch key; the sender's world
   // rank prefixes the per-epoch sequence so the two directions' nonce
   // streams can never collide.
-  store_be32(out, static_cast<std::uint32_t>(comm_->to_world(rank())));
-  store_be64(out + 4, sk.seq);
+  store_be32(nonce, static_cast<std::uint32_t>(comm_->to_world(rank())));
+  store_be64(nonce + 4, sk.seq);
   return sk.aead;
-}
-
-bool SecureComm::keyring_open(int peer, BytesView wire, BytesView aad,
-                              MutBytes out, bool charged) {
-  keys::LinkKeyring& ring = *config_.keyring;
-  const int link = comm_->to_world(peer);
-  std::vector<keys::LinkKeyring::OpenCandidate> cands;
-  ring.open_candidates(link, comm_->now(), cands);
-  for (const auto& cand : cands) {
-    bool ok = false;
-    const auto trial = [&] {
-      ok = cand.aead->open(wire.first(kGcmNonceBytes), aad,
-                           wire.subspan(kGcmNonceBytes), out);
-    };
-    if (charged) {
-      counters_.open_seconds +=
-          charged_crypto(trial, out.size(), /*encrypt=*/false);
-    } else {
-      trial();  // pipelined chunk: the helper core bills the time
-    }
-    if (!ok) continue;
-    switch (ring.note_open(link, cand.epoch, comm_->now())) {
-      case keys::LinkKeyring::OpenKind::kGrace:
-        ++counters_.grace_opens;
-        break;
-      case keys::LinkKeyring::OpenKind::kCatchup:
-        ++counters_.catchup_opens;
-        break;
-      case keys::LinkKeyring::OpenKind::kCurrent:
-        break;
-    }
-    return true;
-  }
-  return false;
 }
 
 void SecureComm::next_nonce(std::uint8_t out[kGcmNonceBytes]) {
@@ -285,192 +289,145 @@ void SecureComm::rekey(BytesView new_key) {
   ++counters_.rekeys;
 }
 
-Bytes SecureComm::p2p_aad(int src, int dst, int tag,
-                          std::uint64_t seq) const {
-  Bytes aad(24);
-  store_be32(aad.data(), static_cast<std::uint32_t>(src));
-  store_be32(aad.data() + 4, static_cast<std::uint32_t>(dst));
-  store_be32(aad.data() + 8, static_cast<std::uint32_t>(tag));
-  store_be32(aad.data() + 12, 0);  // kind: 0 = point-to-point
-  store_be64(aad.data() + 16, seq);
-  return aad;
-}
-
-namespace {
-/// AAD for a collective block: origin, destination (-1 = broadcast to
-/// all), the per-communicator collective sequence number.
-Bytes coll_aad(int src, int dst, std::uint64_t seq) {
-  Bytes aad(24);
-  store_be32(aad.data(), static_cast<std::uint32_t>(src));
-  store_be32(aad.data() + 4, static_cast<std::uint32_t>(dst));
-  store_be32(aad.data() + 8, 0);
-  store_be32(aad.data() + 12, 1);  // kind: 1 = collective
-  store_be64(aad.data() + 16, seq);
-  return aad;
-}
-}  // namespace
-
-std::uint64_t SecureComm::next_send_seq(int dst, int tag) {
-  return send_seq_[{dst, tag}]++;
-}
-
-void SecureComm::seal_into(BytesView pt, MutBytes out, BytesView aad,
-                           int peer) {
-  if (out.size() != wire_size(pt.size())) {
-    throw std::invalid_argument("seal_into: wire buffer size mismatch");
-  }
+double SecureComm::seal_frame(BytesView pt, MutBytes out, BytesView aad,
+                              int peer, Billing billing) {
   charge_relay_reseals(peer);
-  // Keyring links seal under the link's per-epoch key (ratchet + seq
-  // fetched before the charged region so ratchet billing lands on the
-  // key_mgmt lane, not inside the seal span).
-  const crypto::AeadKey* aead =
-      keyring_link(peer) ? keyring_seal(peer, out.data()) : nullptr;
-  const double elapsed = charged_crypto(
-      [&] {
-        if (aead == nullptr) {
-          next_nonce(out.data());
-          aead = key_.get();
-        }
-        aead->seal(BytesView(out.data(), kGcmNonceBytes), aad, pt,
-                   out.subspan(kGcmNonceBytes));
-      },
-      pt.size(), /*encrypt=*/true);
+  // Key and nonce are drawn outside the billed region, so a keyring
+  // ratchet lands on the key_mgmt lane, not inside the seal span.
+  const crypto::AeadKey* aead = seal_key(peer, out.data());
+  const auto seal = [&] {
+    aead->seal(out.first(kGcmNonceBytes), aad, pt,
+               out.subspan(kGcmNonceBytes));
+  };
+  double ready = 0.0;
+  if (billing == Billing::kHelper) {
+    seal();
+    ++counters_.chunks_sealed;
+    ready = helper_crypto(pt.size(), /*encrypt=*/true);
+  } else {
+    counters_.seal_seconds +=
+        charged_crypto(seal, pt.size(), /*encrypt=*/true);
+    ready = comm_->now();
+  }
   ++counters_.messages_sealed;
   counters_.bytes_sealed += pt.size();
-  counters_.seal_seconds += elapsed;
+  return ready;
 }
 
-bool SecureComm::try_open_into(BytesView wire, MutBytes out, BytesView aad,
-                               int peer) {
-  if (keyring_link(peer)) {
-    return keyring_open(peer, wire, aad, out, /*charged=*/true);
+std::optional<double> SecureComm::open_frame(BytesView wire, MutBytes out,
+                                             BytesView aad, int peer,
+                                             Billing billing) {
+  const auto trial = [&](const crypto::AeadKey* aead) {
+    bool ok = false;
+    const auto open = [&] {
+      ok = aead->open(wire.first(kGcmNonceBytes), aad,
+                      wire.subspan(kGcmNonceBytes), out);
+    };
+    if (billing == Billing::kCharged) {
+      counters_.open_seconds +=
+          charged_crypto(open, out.size(), /*encrypt=*/false);
+    } else {
+      open();  // billed once, on success, by helper_crypto
+    }
+    return ok;
+  };
+  const auto ready = [&] {
+    return billing == Billing::kHelper
+               ? helper_crypto(out.size(), /*encrypt=*/false)
+               : comm_->now();
+  };
+  if (!keyring_link(peer)) {
+    if (!trial(key_.get())) return std::nullopt;
+    return ready();
   }
-  bool ok = false;
-  const double elapsed = charged_crypto(
-      [&] {
-        ok = key_->open(wire.first(kGcmNonceBytes), aad,
-                        wire.subspan(kGcmNonceBytes), out);
-      },
-      out.size(), /*encrypt=*/false);
-  counters_.open_seconds += elapsed;
-  return ok;
+  keys::LinkKeyring& ring = *config_.keyring;
+  const int link = comm_->to_world(peer);
+  std::vector<keys::LinkKeyring::OpenCandidate> cands;
+  ring.open_candidates(link, comm_->now(), cands);
+  for (const auto& cand : cands) {
+    if (!trial(cand.aead)) continue;
+    switch (ring.note_open(link, cand.epoch, comm_->now())) {
+      case keys::LinkKeyring::OpenKind::kGrace:
+        ++counters_.grace_opens;
+        break;
+      case keys::LinkKeyring::OpenKind::kCatchup:
+        ++counters_.catchup_opens;
+        break;
+      case keys::LinkKeyring::OpenKind::kCurrent:
+        break;
+    }
+    return ready();
+  }
+  return std::nullopt;
 }
 
-void SecureComm::open_into(BytesView wire, MutBytes out, BytesView aad) {
-  if (wire.size() < kWireOverhead) {
-    ++counters_.length_failures;
-    throw IntegrityError("received message shorter than nonce+tag framing");
-  }
-  if (out.size() != wire.size() - kWireOverhead) {
-    throw std::invalid_argument("open_into: plaintext buffer size mismatch");
-  }
-  if (!try_open_into(wire, out, aad)) {
-    ++counters_.auth_failures;
-    throw IntegrityError(
-        "authentication tag mismatch: message was tampered with or "
-        "corrupted (rank " +
-        std::to_string(rank()) + ")");
-  }
-  ++counters_.messages_opened;
-  counters_.bytes_opened += out.size();
+void SecureComm::reject(std::uint64_t& detections, const std::string& what) {
+  ++detections;
+  throw IntegrityError(what + " (rank " + std::to_string(rank()) + ")");
 }
 
 std::size_t SecureComm::checked_pt_len(std::size_t wire_bytes,
                                        std::size_t capacity) {
   if (wire_bytes < kWireOverhead || wire_bytes > wire_size(capacity)) {
-    ++counters_.length_failures;
-    throw IntegrityError(
-        "wire message of " + std::to_string(wire_bytes) +
-        " bytes outside the valid [" + std::to_string(kWireOverhead) + ", " +
-        std::to_string(wire_size(capacity)) +
-        "] range for this receive: truncated or oversized in transit (rank " +
-        std::to_string(rank()) + ")");
+    reject(counters_.length_failures,
+           "wire message of " + std::to_string(wire_bytes) +
+               " bytes outside the valid [" + std::to_string(kWireOverhead) +
+               ", " + std::to_string(wire_size(capacity)) +
+               "] range for this receive: truncated or oversized in transit");
   }
   return wire_bytes - kWireOverhead;
 }
 
-std::optional<mpi::Status> SecureComm::open_p2p(
-    MutBytes wire_buf, const mpi::Status& wire_status, MutBytes user,
-    bool* became_chunked) {
-  const std::size_t pt_len = checked_pt_len(wire_status.bytes, user.size());
-  const MutBytes wire = wire_buf.first(wire_status.bytes);
-  const MutBytes out = user.first(pt_len);
-  const mpi::Status status{wire_status.source, wire_status.tag, pt_len};
-  const int src = wire_status.source;
-  const int tag = wire_status.tag;
-
-  // Up to two authentication rounds: if the first fails and the ARQ
-  // stash can prove the damage happened on the wire, the clean copy is
-  // NACKed back in (recover_damaged_recv rewrites `wire`) and
-  // authentication runs once more. A second failure — or any failure
-  // the stash cannot explain — is a genuine integrity error.
-  for (int round = 0;; ++round) {
-    if (!config_.bind_context) {
-      if (try_open_into(wire, out, {}, src)) {
-        ++counters_.messages_opened;
-        counters_.bytes_opened += out.size();
-        return status;
-      }
-    } else {
-      // The channel counter advances only when a message
-      // authenticates, so damaged traffic cannot desynchronize honest
-      // traffic behind it. With a replay window, sequence numbers
-      // slightly ahead (dropped predecessors) still authenticate, and
-      // numbers behind are trial-checked to separate benign fabric
-      // duplicates from replay attacks.
-      std::uint64_t& expected = recv_seq_[{src, tag}];
-      const std::uint64_t ahead =
-          config_.replay_window > 0 ? config_.replay_window : 1;
-      for (std::uint64_t k = 0; k < ahead; ++k) {
-        if (try_open_into(wire, out, p2p_aad(src, rank(), tag, expected + k),
-                          src)) {
-          expected += k + 1;
-          ++counters_.messages_opened;
-          counters_.bytes_opened += out.size();
-          return status;
-        }
-      }
-      for (std::uint64_t back = 1;
-           back <= config_.replay_window && back <= expected; ++back) {
-        if (try_open_into(wire, out, p2p_aad(src, rank(), tag, expected - back),
-                          src)) {
-          secure_zero(out);  // never hand a repeated plaintext to the caller
-          const std::uint64_t seq = expected - back;
-          const std::uint32_t copies = ++extra_copies_[{src, tag, seq}];
-          if (copies == 1) {
-            // First extra copy: the fabric duplicated the frame. Absorb
-            // it silently; the caller loops for the next real message.
-            ++counters_.duplicates_suppressed;
-            return std::nullopt;
-          }
-          // The same sequence number injected yet again: an attacker
-          // replaying captured traffic, not a duplicating wire.
-          ++counters_.replays_rejected;
-          throw IntegrityError(
-              "replayed message rejected: sequence " + std::to_string(seq) +
-              " from rank " + std::to_string(src) +
-              " was already delivered (rank " + std::to_string(rank()) + ")");
-        }
-      }
+SecureComm::P2pOpen SecureComm::open_p2p(BytesView wire, MutBytes out,
+                                         int src, int tag) {
+  // One trial per candidate channel sequence number (the sequence
+  // number only enters the AAD with bind_context).
+  const auto opens = [&](std::uint64_t seq) {
+    return open_frame(wire, out,
+                      frame_aad(config_.bind_context, nullptr, src, rank(),
+                                tag, AadKind::kP2p, seq)
+                          .view(),
+                      src, Billing::kCharged)
+        .has_value();
+  };
+  // The channel counter advances only when a message authenticates, so
+  // damaged traffic cannot desynchronize honest traffic behind it. With
+  // a replay window, sequence numbers slightly ahead (dropped
+  // predecessors) still authenticate, and numbers behind are
+  // trial-checked to separate benign fabric duplicates from replay
+  // attacks.
+  std::uint64_t& expected = recv_seq_[{src, tag}];
+  const std::uint64_t ahead =
+      config_.replay_window > 0 ? config_.replay_window : 1;
+  for (std::uint64_t k = 0; k < ahead; ++k) {
+    if (opens(expected + k)) {
+      expected += k + 1;
+      ++counters_.messages_opened;
+      counters_.bytes_opened += out.size();
+      return P2pOpen::kDelivered;
     }
-    if (round == 0 && comm_->recover_damaged_recv(wire, src, tag)) {
-      ++counters_.nacks_sent;
-      ++counters_.retransmits_recovered;
-      if (became_chunked != nullptr && looks_like_chunk(wire)) {
-        // The wire damage had destroyed the chunk magic: the clean
-        // retransmitted frame is a pipelined chunk. Hand it back for
-        // re-dispatch instead of authenticating it as a whole message.
-        *became_chunked = true;
-        return std::nullopt;
-      }
-      continue;
-    }
-    ++counters_.auth_failures;
-    throw IntegrityError(
-        "authentication tag mismatch: message was tampered with, corrupted, "
-        "or spliced from another channel (rank " +
-        std::to_string(rank()) + ")");
   }
+  for (std::uint64_t back = 1;
+       back <= config_.replay_window && back <= expected; ++back) {
+    if (opens(expected - back)) {
+      secure_zero(out);  // never hand a repeated plaintext to the caller
+      const std::uint64_t seq = expected - back;
+      const std::uint32_t copies = ++extra_copies_[{src, tag, seq}];
+      if (copies == 1) {
+        // First extra copy: the fabric duplicated the frame. Absorb it
+        // silently; the caller loops for the next real message.
+        ++counters_.duplicates_suppressed;
+        return P2pOpen::kDuplicate;
+      }
+      // The same sequence number injected yet again: an attacker
+      // replaying captured traffic, not a duplicating wire.
+      reject(counters_.replays_rejected,
+             "replayed message rejected: sequence " + std::to_string(seq) +
+                 " from rank " + std::to_string(src) +
+                 " was already delivered");
+    }
+  }
+  return P2pOpen::kForged;
 }
 
 // ------------------------------------------------------ chunked pipeline
@@ -490,20 +447,14 @@ double SecureComm::helper_crypto(std::size_t bytes, bool encrypt) {
     // the determinism of src/secure_mpi — see docs/PIPELINE.md).
     return proc.now();
   }
-  const CryptoCostModel& m = *config_.cost_model;
-  const double cost =
-      encrypt ? m.seal_per_op + static_cast<double>(bytes) * m.seal_per_byte
-              : m.open_per_op + static_cast<double>(bytes) * m.open_per_byte;
+  const double cost = model_cost(*config_.cost_model, bytes, encrypt);
   if (helper_free_.empty()) {
     // helper_cores == 0: chunk framing without overlap — the chunk's
     // crypto is billed serially on the rank itself.
-    const auto category = encrypt ? trace::Category::kCryptoEncrypt
-                                  : trace::Category::kCryptoDecrypt;
-    const double begin = proc.now();
-    proc.advance(cost);
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      rec->record(proc.index(), category, begin, proc.now(), -1, bytes);
-    }
+    bill(cost,
+         encrypt ? trace::Category::kCryptoEncrypt
+                 : trace::Category::kCryptoDecrypt,
+         -1, bytes);
     return proc.now();
   }
   // Earliest-free core wins, lowest index on ties: a pure function of
@@ -526,35 +477,13 @@ double SecureComm::helper_crypto(std::size_t bytes, bool encrypt) {
   return done;
 }
 
-double SecureComm::seal_chunk(BytesView pt, MutBytes out, BytesView aad,
-                              int peer) {
-  // No host-time measurement on this path (seal_seconds stays a
-  // main-clock wall measurement; helper billing is purely analytic).
-  charge_relay_reseals(peer);
-  const crypto::AeadKey* aead;
-  if (keyring_link(peer)) {
-    aead = keyring_seal(peer, out.data());
-  } else {
-    next_nonce(out.data());
-    aead = key_.get();
-  }
-  aead->seal(BytesView(out.data(), kGcmNonceBytes), aad, pt,
-             out.subspan(kGcmNonceBytes));
-  ++counters_.messages_sealed;
-  ++counters_.chunks_sealed;
-  counters_.bytes_sealed += pt.size();
-  return helper_crypto(pt.size(), /*encrypt=*/true);
-}
-
 void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
   const std::size_t chunk = config_.pipeline.chunk_bytes;
   const auto count = static_cast<std::uint32_t>((data.size() + chunk - 1) /
                                                 chunk);
   const std::uint64_t msg_id = pipe_msg_id_++;
-  const bool bind = config_.bind_context;
   ++counters_.messages_pipelined;
   Bytes frame;
-  Bytes aad(bind ? kPipeHeaderBytes + 24 : kPipeHeaderBytes);
   for (std::uint32_t k = 0; k < count; ++k) {
     const std::size_t off = std::size_t{k} * chunk;
     const std::size_t len = std::min(chunk, data.size() - off);
@@ -566,18 +495,14 @@ void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
     h.chunk_len = static_cast<std::uint32_t>(len);
     h.offset = off;
     store_pipe_header(frame.data(), h);
-    // The chunk's AAD is its own header — every field the receiver
-    // steers by is under the tag — plus, with context binding, the
-    // usual channel context with one fresh sequence number per chunk
-    // (consecutive draws from the same stream as unchunked traffic).
-    std::memcpy(aad.data(), frame.data(), kPipeHeaderBytes);
-    if (bind) {
-      const Bytes ctx = p2p_aad(rank(), dst, tag, next_send_seq(dst, tag));
-      std::memcpy(aad.data() + kPipeHeaderBytes, ctx.data(), ctx.size());
-    }
-    const double sealed_at = seal_chunk(
+    // One fresh channel sequence number per chunk: consecutive draws
+    // from the same stream as unchunked traffic.
+    const double sealed_at = seal_frame(
         data.subspan(off, len), MutBytes(frame).subspan(kPipeHeaderBytes),
-        aad, dst);
+        frame_aad(config_.bind_context, frame.data(), rank(), dst, tag,
+                  AadKind::kP2p, send_seq_[{dst, tag}]++)
+            .view(),
+        dst, Billing::kHelper);
     // The frame flies as soon as both the NIC is free and the helper
     // core sealed it; the sender's own clock only pays the per-chunk
     // CPU overhead + copy, which is how encryption hides behind the
@@ -588,35 +513,44 @@ void SecureComm::send_pipelined(BytesView data, int dst, int tag) {
 
 std::optional<mpi::Status> SecureComm::open_any(
     MutBytes wire_buf, const mpi::Status& wire_status, MutBytes user) {
+  const MutBytes frame = wire_buf.first(wire_status.bytes);
+  const int src = wire_status.source;
+  const int tag = wire_status.tag;
+  // Up to two rounds: if the first fails and the ARQ stash can prove
+  // the damage happened on the wire, the clean copy is NACKed back in
+  // (recover_damaged_recv rewrites `frame`) and classified afresh, as
+  // the damage may have hit the chunk magic. A second failure, or one
+  // the stash cannot explain, is a genuine integrity error.
   for (int round = 0;; ++round) {
-    const MutBytes frame = wire_buf.first(wire_status.bytes);
-    if (looks_like_chunk(frame)) {
-      const PipeChunkHeader h = load_pipe_header(frame.data());
-      if (pipe_header_plausible(h, frame.size(), user.size())) {
-        return open_pipelined(frame, wire_status, user);
-      }
-      // Chunk-looking but inconsistent with its own length: wire
-      // damage (one ARQ recovery try) or a forgery.
-      if (round == 0 &&
-          comm_->recover_damaged_recv(frame, wire_status.source,
-                                      wire_status.tag)) {
-        ++counters_.nacks_sent;
-        ++counters_.retransmits_recovered;
-        continue;  // re-classify the clean retransmitted copy
-      }
-      ++counters_.length_failures;
-      throw IntegrityError(
-          "pipelined chunk header inconsistent with its frame length: "
-          "truncated, corrupted, or forged in transit (rank " +
-          std::to_string(rank()) + ")");
+    const bool chunk = looks_like_chunk(frame);
+    if (chunk && pipe_header_plausible(load_pipe_header(frame.data()),
+                                       frame.size(), user.size())) {
+      return open_pipelined(frame, wire_status, user);
     }
-    bool became_chunked = false;
-    const auto status = open_p2p(wire_buf, wire_status, user,
-                                 &became_chunked);
-    if (!became_chunked) return status;
-    // open_p2p's ARQ recovery revealed a chunk frame (the damage had
-    // destroyed the magic); loop to dispatch the clean copy. The
-    // stash is consumed, so this cannot recurse.
+    if (!chunk) {
+      const std::size_t pt_len = checked_pt_len(frame.size(), user.size());
+      switch (open_p2p(frame, user.first(pt_len), src, tag)) {
+        case P2pOpen::kDelivered:
+          return mpi::Status{src, tag, pt_len};
+        case P2pOpen::kDuplicate:
+          return std::nullopt;
+        case P2pOpen::kForged:
+          break;
+      }
+    }
+    if (round == 0 && comm_->recover_damaged_recv(frame, src, tag)) {
+      ++counters_.nacks_sent;
+      ++counters_.retransmits_recovered;
+      continue;
+    }
+    if (chunk) {
+      reject(counters_.length_failures,
+             "pipelined chunk header inconsistent with its frame length: "
+             "truncated, corrupted, or forged in transit");
+    }
+    reject(counters_.auth_failures,
+           "authentication tag mismatch: message was tampered with, "
+           "corrupted, or spliced from another channel");
   }
 }
 
@@ -635,10 +569,9 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
   const std::uint64_t msg_id = first.msg_id;
   const std::uint32_t count = first.count;
   const std::size_t cap = user.size();
-  const bool bind = config_.bind_context;
   // Chunk k authenticates channel sequence base + k — the sender drew
   // count consecutive numbers; the channel advances only on delivery.
-  const std::uint64_t base = bind ? recv_seq_[{src, tag}] : 0;
+  const std::uint64_t base = recv_seq_[{src, tag}];
 
   sim::Process& proc = comm_->process();
   std::vector<std::uint8_t> have(count, 0);
@@ -647,11 +580,10 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
   std::size_t bytes_accepted = 0;
   std::size_t total_len = 0;  ///< offset+len of chunk count-1
   double crypto_done = proc.now();
-  Bytes aad(bind ? kPipeHeaderBytes + 24 : kPipeHeaderBytes);
 
   // Validates, deduplicates, authenticates, and places one frame;
   // loops over the single allowed ARQ recovery round exactly like
-  // open_p2p (a recovery may change the header, so it re-parses).
+  // open_any (a recovery may change the header, so it re-parses).
   auto accept_chunk = [&](MutBytes frame) {
     for (int round = 0;; ++round) {
       const PipeChunkHeader h = load_pipe_header(frame.data());
@@ -667,27 +599,23 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
           return;
         }
         secure_zero(user);
-        ++counters_.replays_rejected;
-        throw IntegrityError(
-            "replayed pipelined chunk rejected: chunk " +
-            std::to_string(h.index) + " of message " +
-            std::to_string(msg_id) + " from rank " + std::to_string(src) +
-            " was already delivered twice (rank " + std::to_string(rank()) +
-            ")");
+        reject(counters_.replays_rejected,
+               "replayed pipelined chunk rejected: chunk " +
+                   std::to_string(h.index) + " of message " +
+                   std::to_string(msg_id) + " from rank " +
+                   std::to_string(src) + " was already delivered twice");
       }
       if (frame_ok) {
-        std::memcpy(aad.data(), frame.data(), kPipeHeaderBytes);
-        if (bind) {
-          const Bytes ctx = p2p_aad(src, rank(), tag, base + h.index);
-          std::memcpy(aad.data() + kPipeHeaderBytes, ctx.data(), ctx.size());
-        }
-        const BytesView wire = BytesView(frame).subspan(kPipeHeaderBytes);
-        const MutBytes out = user.subspan(h.offset, h.chunk_len);
-        const bool opened =
-            keyring_link(src)
-                ? keyring_open(src, wire, aad, out, /*charged=*/false)
-                : key_->open(wire.first(kGcmNonceBytes), aad,
-                             wire.subspan(kGcmNonceBytes), out);
+        // The open runs on a helper core from the moment the frame is
+        // in memory; the main timeline keeps receiving chunk k+1 while
+        // this one decrypts.
+        const std::optional<double> opened = open_frame(
+            BytesView(frame).subspan(kPipeHeaderBytes),
+            user.subspan(h.offset, h.chunk_len),
+            frame_aad(config_.bind_context, frame.data(), src, rank(), tag,
+                      AadKind::kP2p, base + h.index)
+                .view(),
+            src, Billing::kHelper);
         if (opened) {
           have[h.index] = 1;
           ++have_n;
@@ -696,12 +624,7 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
           ++counters_.messages_opened;
           ++counters_.chunks_opened;
           counters_.bytes_opened += h.chunk_len;
-          // The open runs on a helper core from the moment the frame
-          // is in memory; the main timeline keeps receiving chunk k+1
-          // while this one decrypts.
-          crypto_done = std::max(crypto_done,
-                                 helper_crypto(h.chunk_len,
-                                               /*encrypt=*/false));
+          crypto_done = std::max(crypto_done, *opened);
           return;
         }
       }
@@ -712,19 +635,14 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
       }
       secure_zero(user);  // never leak a partially verified message
       if (!frame_ok) {
-        ++counters_.length_failures;
-        throw IntegrityError(
-            "pipelined chunk frame inconsistent mid-message: header does "
-            "not match message " +
-            std::to_string(msg_id) + " (rank " + std::to_string(rank()) +
-            ")");
+        reject(counters_.length_failures,
+               "pipelined chunk frame inconsistent mid-message: header "
+               "does not match message " +
+                   std::to_string(msg_id));
       }
-      ++counters_.auth_failures;
-      throw IntegrityError(
-          "authentication tag mismatch on pipelined chunk: message was "
-          "tampered with, corrupted, or spliced from another channel "
-          "(rank " +
-          std::to_string(rank()) + ")");
+      reject(counters_.auth_failures,
+             "authentication tag mismatch on pipelined chunk: message was "
+             "tampered with, corrupted, or spliced from another channel");
     }
   };
 
@@ -743,11 +661,10 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
       }
       if (!looks_like_chunk(frame)) {
         secure_zero(user);
-        ++counters_.length_failures;
-        throw IntegrityError(
-            "unchunked frame interleaved into pipelined message " +
-            std::to_string(msg_id) + " from rank " + std::to_string(src) +
-            " (rank " + std::to_string(rank()) + ")");
+        reject(counters_.length_failures,
+               "unchunked frame interleaved into pipelined message " +
+                   std::to_string(msg_id) + " from rank " +
+                   std::to_string(src));
       }
     }
     if (load_pipe_header(frame.data()).msg_id < msg_id) {
@@ -761,30 +678,34 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
     // Unreachable for an honest sender (headers are authenticated and
     // indices deduplicated), kept as a cheap defence in depth.
     secure_zero(user);
-    ++counters_.length_failures;
-    throw IntegrityError(
-        "pipelined chunks do not tile the message: " +
-        std::to_string(bytes_accepted) + " bytes accepted for a " +
-        std::to_string(total_len) + "-byte message (rank " +
-        std::to_string(rank()) + ")");
+    reject(counters_.length_failures,
+           "pipelined chunks do not tile the message: " +
+               std::to_string(bytes_accepted) + " bytes accepted for a " +
+               std::to_string(total_len) + "-byte message");
   }
   next_id = msg_id + 1;
-  if (bind) recv_seq_[{src, tag}] = base + count;
+  recv_seq_[{src, tag}] = base + count;
   // Stall only for crypto the wire did not hide: the receive is
   // complete when the last helper core finishes its last chunk.
-  const double now = proc.now();
-  if (crypto_done > now) {
-    proc.advance(crypto_done - now);
-    counters_.pipeline_stall_seconds += crypto_done - now;
-    if (trace::TraceRecorder* rec = comm_->world().trace()) {
-      rec->record(proc.index(), trace::Category::kPipelineStall, now,
-                  proc.now(), src, bytes_accepted);
-    }
+  const double stall = crypto_done - proc.now();
+  if (stall > 0.0) {
+    counters_.pipeline_stall_seconds += stall;
+    bill(stall, trace::Category::kPipelineStall, src, bytes_accepted);
   }
   return mpi::Status{src, tag, total_len};
 }
 
 // ------------------------------------------------------- point-to-point
+
+Bytes SecureComm::seal_p2p(BytesView data, int dst, int tag) {
+  Bytes wire(wire_size(data.size()));
+  seal_frame(data, wire,
+             frame_aad(config_.bind_context, nullptr, rank(), dst, tag,
+                       AadKind::kP2p, send_seq_[{dst, tag}]++)
+                 .view(),
+             dst, Billing::kCharged);
+  return wire;
+}
 
 void SecureComm::send(BytesView data, int dst, int tag) {
   // Reject bad arguments before spending crypto time on the payload.
@@ -794,13 +715,7 @@ void SecureComm::send(BytesView data, int dst, int tag) {
     send_pipelined(data, dst, tag);
     return;
   }
-  Bytes wire(wire_size(data.size()));
-  if (config_.bind_context) {
-    seal_into(data, wire, p2p_aad(rank(), dst, tag, next_send_seq(dst, tag)),
-              dst);
-  } else {
-    seal_into(data, wire, {}, dst);
-  }
+  const Bytes wire = seal_p2p(data, dst, tag);
   comm_->send(wire, dst, tag);
 }
 
@@ -833,13 +748,7 @@ mpi::Request SecureComm::isend(BytesView data, int dst, int tag) {
     return mpi::Request(std::move(state));
   }
   auto state = std::make_unique<SecureSendState>();
-  state->wire.resize(wire_size(data.size()));
-  if (config_.bind_context) {
-    seal_into(data, state->wire,
-              p2p_aad(rank(), dst, tag, next_send_seq(dst, tag)), dst);
-  } else {
-    seal_into(data, state->wire, {}, dst);
-  }
+  state->wire = seal_p2p(data, dst, tag);
   state->inner = comm_->isend(state->wire, dst, tag);
   return mpi::Request(std::move(state));
 }
@@ -915,15 +824,73 @@ mpi::Status SecureComm::sendrecv(BytesView senddata, int dst, int sendtag,
 
 void SecureComm::barrier() { comm_->barrier(); }
 
+std::vector<SecureComm::Block> SecureComm::per_rank(std::size_t n,
+                                                    std::size_t len) {
+  std::vector<Block> blocks(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    blocks[i] = {i * len, len, static_cast<int>(i)};
+  }
+  return blocks;
+}
+
+void SecureComm::sealed_exchange(
+    BytesView send, std::span<const Block> send_blocks, MutBytes recv,
+    std::span<const Block> recv_blocks, bool to_all,
+    const std::function<void(Wire&, Wire&)>& plain) {
+  const auto layout = [](std::span<const Block> blocks) {
+    Wire w;
+    w.counts.reserve(blocks.size());
+    w.displs.reserve(blocks.size());
+    std::size_t total = 0;
+    for (const Block& b : blocks) {
+      w.counts.push_back(wire_size(b.len));
+      w.displs.push_back(total);
+      total += w.counts.back();
+    }
+    w.buf.resize(total);
+    return w;
+  };
+  const std::uint64_t seq = coll_seq_++;
+  // Every block authenticates its origin and addressee: a sent block
+  // goes from this rank to its peer, a received one from its peer to
+  // this rank; to_all names every rank (-1) as the addressee instead.
+  const auto aad = [&](int src, int dst) {
+    return frame_aad(config_.bind_context, nullptr, src, to_all ? -1 : dst,
+                     0, AadKind::kCollective, seq);
+  };
+  Wire ws = layout(send_blocks);
+  Wire wr = layout(recv_blocks);
+  for (std::size_t i = 0; i < send_blocks.size(); ++i) {
+    const Block& b = send_blocks[i];
+    seal_frame(send.subspan(b.offset, b.len),
+               MutBytes(ws.buf).subspan(ws.displs[i], ws.counts[i]),
+               aad(rank(), b.peer).view(), -1, Billing::kCharged);
+  }
+  plain(ws, wr);
+  for (std::size_t i = 0; i < recv_blocks.size(); ++i) {
+    const Block& b = recv_blocks[i];
+    if (!open_frame(BytesView(wr.buf).subspan(wr.displs[i], wr.counts[i]),
+                    recv.subspan(b.offset, b.len), aad(b.peer, rank()).view(),
+                    -1, Billing::kCharged)) {
+      reject(counters_.auth_failures,
+             "authentication tag mismatch: message was tampered with or "
+             "corrupted");
+    }
+    ++counters_.messages_opened;
+    counters_.bytes_opened += b.len;
+  }
+}
+
 void SecureComm::bcast(MutBytes data, int root) {
   mpi::validate_peer(root, size());
-  const std::uint64_t seq = coll_seq_++;
-  const Bytes aad =
-      config_.bind_context ? coll_aad(root, -1, seq) : Bytes{};
-  Bytes wire(wire_size(data.size()));
-  if (rank() == root) seal_into(data, wire, aad);
-  comm_->bcast(wire, root);
-  if (rank() != root) open_into(wire, data, aad);
+  const bool is_root = rank() == root;
+  const Block block{0, data.size(), root};
+  const std::span<const Block> one(&block, 1);
+  sealed_exchange(data, is_root ? one : std::span<const Block>{}, data,
+                  is_root ? std::span<const Block>{} : one, /*to_all=*/true,
+                  [&](Wire& ws, Wire& wr) {
+                    comm_->bcast(is_root ? ws.buf : wr.buf, root);
+                  });
 }
 
 void SecureComm::allgather(BytesView sendpart, MutBytes recvall) {
@@ -932,52 +899,25 @@ void SecureComm::allgather(BytesView sendpart, MutBytes recvall) {
   if (recvall.size() != block * n) {
     throw mpi::MpiError("allgather: recv buffer must be size()*block bytes");
   }
-  const std::size_t wire_block = wire_size(block);
-  const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
-
-  Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send,
-            bind ? BytesView(coll_aad(rank(), -1, seq)) : BytesView{});
-  Bytes wire_all(wire_block * n);
-  comm_->allgather(wire_send, wire_all);
-  for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
-              recvall.subspan(i * block, block),
-              bind ? BytesView(coll_aad(static_cast<int>(i), -1, seq))
-                   : BytesView{});
-  }
+  const Block mine{0, block, -1};
+  sealed_exchange(sendpart, {&mine, 1}, recvall, per_rank(n, block),
+                  /*to_all=*/true, [&](Wire& ws, Wire& wr) {
+                    comm_->allgather(ws.buf, wr.buf);
+                  });
 }
 
 void SecureComm::alltoall(BytesView sendbuf, MutBytes recvbuf,
                           std::size_t block) {
-  // Algorithm 1 of the paper, verbatim structure: encrypt every block
-  // with a fresh nonce, exchange (l+28)-byte blocks with the plain
-  // alltoall, then decrypt every received block.
   const auto n = static_cast<std::size_t>(size());
   const auto total = block * n;
   if (sendbuf.size() != total || recvbuf.size() != total) {
     throw mpi::MpiError("alltoall: buffers must be size()*block bytes");
   }
-  const std::size_t wire_block = wire_size(block);
-  const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
-
-  Bytes enc_sendbuf(wire_block * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    seal_into(sendbuf.subspan(i * block, block),
-              MutBytes(enc_sendbuf).subspan(i * wire_block, wire_block),
-              bind ? BytesView(coll_aad(rank(), static_cast<int>(i), seq))
-                   : BytesView{});
-  }
-  Bytes enc_recvbuf(wire_block * n);
-  comm_->alltoall(enc_sendbuf, enc_recvbuf, wire_block);
-  for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(enc_recvbuf).subspan(i * wire_block, wire_block),
-              recvbuf.subspan(i * block, block),
-              bind ? BytesView(coll_aad(static_cast<int>(i), rank(), seq))
-                   : BytesView{});
-  }
+  const std::vector<Block> blocks = per_rank(n, block);
+  sealed_exchange(sendbuf, blocks, recvbuf, blocks, /*to_all=*/false,
+                  [&](Wire& ws, Wire& wr) {
+                    comm_->alltoall(ws.buf, wr.buf, wire_size(block));
+                  });
 }
 
 void SecureComm::alltoallv(BytesView sendbuf,
@@ -987,100 +927,50 @@ void SecureComm::alltoallv(BytesView sendbuf,
                            std::span<const std::size_t> recvcounts,
                            std::span<const std::size_t> recvdispls) {
   const auto n = static_cast<std::size_t>(size());
-  if (sendcounts.size() != n || senddispls.size() != n ||
-      recvcounts.size() != n || recvdispls.size() != n) {
-    throw mpi::MpiError(
-        "alltoallv: count/displacement arrays must have size() entries");
-  }
-
-  std::vector<std::size_t> wire_sendcounts(n);
-  std::vector<std::size_t> wire_senddispls(n);
-  std::vector<std::size_t> wire_recvcounts(n);
-  std::vector<std::size_t> wire_recvdispls(n);
-  std::size_t send_total = 0;
-  std::size_t recv_total = 0;
+  mpi::validate_alltoallv_blocks(n, sendcounts, senddispls, sendbuf.size());
+  mpi::validate_alltoallv_blocks(n, recvcounts, recvdispls, recvbuf.size());
+  std::vector<Block> send(n);
+  std::vector<Block> recv(n);
   for (std::size_t i = 0; i < n; ++i) {
-    wire_sendcounts[i] = wire_size(sendcounts[i]);
-    wire_senddispls[i] = send_total;
-    send_total += wire_sendcounts[i];
-    wire_recvcounts[i] = wire_size(recvcounts[i]);
-    wire_recvdispls[i] = recv_total;
-    recv_total += wire_recvcounts[i];
+    send[i] = {senddispls[i], sendcounts[i], static_cast<int>(i)};
+    recv[i] = {recvdispls[i], recvcounts[i], static_cast<int>(i)};
   }
-
-  const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
-  Bytes enc_sendbuf(send_total);
-  for (std::size_t i = 0; i < n; ++i) {
-    seal_into(sendbuf.subspan(senddispls[i], sendcounts[i]),
-              MutBytes(enc_sendbuf)
-                  .subspan(wire_senddispls[i], wire_sendcounts[i]),
-              bind ? BytesView(coll_aad(rank(), static_cast<int>(i), seq))
-                   : BytesView{});
-  }
-  Bytes enc_recvbuf(recv_total);
-  comm_->alltoallv(enc_sendbuf, wire_sendcounts, wire_senddispls,
-                   enc_recvbuf, wire_recvcounts, wire_recvdispls);
-  for (std::size_t i = 0; i < n; ++i) {
-    open_into(BytesView(enc_recvbuf)
-                  .subspan(wire_recvdispls[i], wire_recvcounts[i]),
-              recvbuf.subspan(recvdispls[i], recvcounts[i]),
-              bind ? BytesView(coll_aad(static_cast<int>(i), rank(), seq))
-                   : BytesView{});
-  }
+  sealed_exchange(sendbuf, send, recvbuf, recv, /*to_all=*/false,
+                  [&](Wire& ws, Wire& wr) {
+                    comm_->alltoallv(ws.buf, ws.counts, ws.displs, wr.buf,
+                                     wr.counts, wr.displs);
+                  });
 }
 
 void SecureComm::gather(BytesView sendpart, MutBytes recvall, int root) {
   mpi::validate_peer(root, size());
   const auto n = static_cast<std::size_t>(size());
   const std::size_t block = sendpart.size();
-  const std::size_t wire_block = wire_size(block);
-  const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
-
-  Bytes wire_send(wire_block);
-  seal_into(sendpart, wire_send,
-            bind ? BytesView(coll_aad(rank(), root, seq)) : BytesView{});
-  Bytes wire_all(rank() == root ? wire_block * n : 0);
-  comm_->gather(wire_send, wire_all, root);
-  if (rank() == root) {
-    if (recvall.size() != block * n) {
-      throw mpi::MpiError("gather: root recv buffer must be size()*block");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      open_into(BytesView(wire_all).subspan(i * wire_block, wire_block),
-                recvall.subspan(i * block, block),
-                bind ? BytesView(coll_aad(static_cast<int>(i), root, seq))
-                     : BytesView{});
-    }
+  const bool is_root = rank() == root;
+  if (is_root && recvall.size() != block * n) {
+    throw mpi::MpiError("gather: root recv buffer must be size()*block");
   }
+  const Block mine{0, block, root};
+  sealed_exchange(sendpart, {&mine, 1}, recvall,
+                  per_rank(is_root ? n : 0, block), /*to_all=*/false,
+                  [&](Wire& ws, Wire& wr) {
+                    comm_->gather(ws.buf, wr.buf, root);
+                  });
 }
 
 void SecureComm::scatter(BytesView sendall, MutBytes recvpart, int root) {
   mpi::validate_peer(root, size());
   const auto n = static_cast<std::size_t>(size());
   const std::size_t block = recvpart.size();
-  const std::size_t wire_block = wire_size(block);
-
-  const std::uint64_t seq = coll_seq_++;
-  const bool bind = config_.bind_context;
-  Bytes wire_all;
-  if (rank() == root) {
-    if (sendall.size() != block * n) {
-      throw mpi::MpiError("scatter: root send buffer must be size()*block");
-    }
-    wire_all.resize(wire_block * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seal_into(sendall.subspan(i * block, block),
-                MutBytes(wire_all).subspan(i * wire_block, wire_block),
-                bind ? BytesView(coll_aad(root, static_cast<int>(i), seq))
-                     : BytesView{});
-    }
+  const bool is_root = rank() == root;
+  if (is_root && sendall.size() != block * n) {
+    throw mpi::MpiError("scatter: root send buffer must be size()*block");
   }
-  Bytes wire_recv(wire_block);
-  comm_->scatter(wire_all, wire_recv, root);
-  open_into(wire_recv, recvpart,
-            bind ? BytesView(coll_aad(root, rank(), seq)) : BytesView{});
+  const Block mine{0, block, root};
+  sealed_exchange(sendall, per_rank(is_root ? n : 0, block), recvpart,
+                  {&mine, 1}, /*to_all=*/false, [&](Wire& ws, Wire& wr) {
+                    comm_->scatter(ws.buf, wr.buf, root);
+                  });
 }
 
 double run_secure_world(const mpi::WorldConfig& world_config,

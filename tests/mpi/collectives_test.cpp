@@ -2,6 +2,8 @@
 // across a sweep of communicator sizes (including non powers of two).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "emc/common/rng.hpp"
 #include "emc/mpi/comm.hpp"
 #include "emc/mpi/reduce.hpp"
@@ -240,6 +242,37 @@ TEST(Collectives, MismatchedBufferSizesThrow) {
                            comm.bcast(buf, 9);  // bad root
                          }),
                MpiError);
+}
+
+TEST(Collectives, AlltoallvRejectsBlocksOutsideTheBuffer) {
+  // Every rank passes the same bad layout, so each throws before
+  // posting anything; a valid call afterwards still completes.
+  run_world(world_of(2), [](Comm& comm) {
+    Bytes sendbuf(16, static_cast<std::uint8_t>(comm.rank()));
+    Bytes recvbuf(16);
+    const std::vector<std::size_t> counts{8, 8};
+    const std::vector<std::size_t> displs{0, 8};
+    const std::vector<std::size_t> past_end{0, 9};  // 9 + 8 > 16
+    // huge + 8 wraps to 6: a naive displs[i] + counts[i] <= size check
+    // would accept it.
+    const std::vector<std::size_t> wraps{
+        0, std::numeric_limits<std::size_t>::max() - 1};
+    EXPECT_THROW(
+        comm.alltoallv(sendbuf, counts, past_end, recvbuf, counts, displs),
+        MpiError);
+    EXPECT_THROW(
+        comm.alltoallv(sendbuf, counts, displs, recvbuf, counts, past_end),
+        MpiError);
+    EXPECT_THROW(
+        comm.alltoallv(sendbuf, counts, wraps, recvbuf, counts, displs),
+        MpiError);
+    EXPECT_THROW(
+        comm.alltoallv(sendbuf, counts, displs, recvbuf, counts, wraps),
+        MpiError);
+    comm.alltoallv(sendbuf, counts, displs, recvbuf, counts, displs);
+    EXPECT_EQ(recvbuf[0], 0);
+    EXPECT_EQ(recvbuf[8], 1);
+  });
 }
 
 }  // namespace

@@ -300,6 +300,42 @@ TEST(PipelineFaults, TamperedChunkRecoversViaEndToEndNack) {
   EXPECT_GE(world.reliability()->stats().e2e_nacks, 1u);
 }
 
+TEST(PipelineFaults, DamagedChunkMagicReclassifiedAfterRecovery) {
+  // A bit flip in the chunk magic makes the first frame look like an
+  // unchunked message, which fails authentication. The e2e NACK brings
+  // back the clean copy, which is classified again and completes the
+  // message on the pipelined path. The seed is searched so that the
+  // corruption of the first chunk frame lands in its magic word.
+  constexpr std::size_t kFrame =
+      kPipeHeaderBytes + SecureComm::wire_size(1024);
+  net::FaultPlan plan = nth_fault(net::FaultKind::kCorrupt, 0);
+  for (plan.seed = 1; net::FaultInjector(plan).next(0, 1, kFrame).position >= 4;
+       ++plan.seed) {
+    ASSERT_LT(plan.seed, 100000u);
+  }
+  WorldConfig config = world_of(2);
+  config.cluster.faults = plan;
+  config.reliability.enabled = true;
+  World world(config);
+  world.run([](Comm& plain) {
+    SecureComm comm(plain, piped());
+    const Bytes msg = patterned(3 * 1024);
+    if (plain.rank() == 0) {
+      comm.send(msg, 1, 5);
+    } else {
+      Bytes buf(msg.size());
+      Status st{};
+      EXPECT_NO_THROW(st = comm.recv(buf, 0, 5));
+      EXPECT_EQ(st.bytes, msg.size());
+      EXPECT_EQ(buf, msg);
+      EXPECT_EQ(comm.counters().nacks_sent, 1u);
+      EXPECT_EQ(comm.counters().auth_failures, 0u);
+      EXPECT_EQ(comm.counters().chunks_opened, 3u);
+    }
+  });
+  EXPECT_EQ(world.reliability()->stats().damaged_deliveries, 1u);
+}
+
 TEST(PipelineFaults, TamperedChunkWithoutArqRejectsWholeMessage) {
   // No reliability layer: the damaged chunk cannot be recovered, so
   // the receive fails closed — IntegrityError, with every already

@@ -3,6 +3,8 @@
 // counters, and tamper detection end to end.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "emc/common/rng.hpp"
 #include "emc/mpi/reduce.hpp"
 #include "emc/secure_mpi/secure_comm.hpp"
@@ -429,6 +431,49 @@ TEST(SecureTiming, ChargedCryptoAdvancesVirtualClock) {
   const double t_plain = run_secure_world(world, uncharged, body);
   const double t_crypto = run_secure_world(world, charged, body);
   EXPECT_GT(t_crypto, t_plain);
+}
+
+TEST(SecureCollectiveArgs, AlltoallvBlocksOutsideTheBufferThrowBeforeSealing) {
+  // Every rank passes the same bad layout, so each throws before
+  // sealing or posting anything.
+  run_secure_world(world_of(2, 1), secure_with("boringssl-sim"),
+                   [](SecureComm& comm) {
+                     Bytes sendbuf(16);
+                     Bytes recvbuf(16);
+                     const std::vector<std::size_t> counts{8, 8};
+                     const std::vector<std::size_t> displs{0, 8};
+                     const std::vector<std::size_t> past_end{0, 9};
+                     const std::vector<std::size_t> wraps{
+                         0, std::numeric_limits<std::size_t>::max() - 1};
+                     EXPECT_THROW(comm.alltoallv(sendbuf, counts, past_end,
+                                                 recvbuf, counts, displs),
+                                  mpi::MpiError);
+                     EXPECT_THROW(comm.alltoallv(sendbuf, counts, displs,
+                                                 recvbuf, counts, past_end),
+                                  mpi::MpiError);
+                     EXPECT_THROW(comm.alltoallv(sendbuf, counts, wraps,
+                                                 recvbuf, counts, displs),
+                                  mpi::MpiError);
+                     EXPECT_THROW(comm.alltoallv(sendbuf, counts, displs,
+                                                 recvbuf, counts, wraps),
+                                  mpi::MpiError);
+                     EXPECT_EQ(comm.counters().messages_sealed, 0u);
+                   });
+}
+
+TEST(SecureCollectiveArgs, GatherRootBufferCheckedBeforeSealing) {
+  run_secure_world(world_of(2, 1), secure_with("boringssl-sim"),
+                   [](SecureComm& comm) {
+                     const Bytes part(8, 0x42);
+                     if (comm.rank() == 0) {
+                       Bytes wrong(15);  // needs 2 * 8
+                       EXPECT_THROW(comm.gather(part, wrong, 0),
+                                    mpi::MpiError);
+                       EXPECT_EQ(comm.counters().messages_sealed, 0u);
+                     } else {
+                       comm.gather(part, {}, 0);
+                     }
+                   });
 }
 
 }  // namespace
