@@ -1,32 +1,24 @@
 // Virtual-time discrete-event engine with cooperative processes.
 //
-// Each simulated process (an MPI rank in this project) runs on its own
-// host thread, but the engine guarantees that EXACTLY ONE process
-// thread executes at any instant: whenever the running process blocks
-// (advance / wait), the scheduler hands the execution token to the
-// ready process with the smallest virtual wake-up time. This gives
-//   * deterministic virtual-time semantics independent of host core
-//     count (the build host may have a single core; the simulated
-//     cluster can have hundreds), and
-//   * clean wall-clock measurement: `Process::charge` times a closure
-//     on the host and bills that duration to the virtual clock without
-//     interference from other simulated ranks.
-//
-// The model is sequential DES with threads as continuations — the same
-// execution style SimGrid's SMPI uses for its actor contexts.
+// Each simulated process (an MPI rank in this project) runs as a
+// stackful coroutine on the thread that called Engine::run. A
+// scheduler loop in run() resumes the ready process with the smallest
+// virtual wake-up time; it runs until it blocks (advance / wait) and
+// switches back. Only one stack executes at any instant, so virtual
+// time is deterministic and independent of host core count, and
+// `Process::charge` measures host time without interference from
+// other simulated ranks. This is sequential DES with coroutines as
+// continuations, the execution style of SimGrid's actor contexts.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace emc::sim {
@@ -38,7 +30,7 @@ class Engine;
 class Process;
 
 /// Thrown inside process bodies when the simulation is being torn
-/// down after another process failed; unwinds the thread.
+/// down after another process failed; unwinds the process.
 struct Aborted : std::runtime_error {
   Aborted() : std::runtime_error("simulation aborted") {}
 };
@@ -49,7 +41,7 @@ struct Deadlock : std::runtime_error {
   explicit Deadlock(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown on a process's own thread the first time it would run at or
+/// Thrown inside a process body the first time it would run at or
 /// after its armed kill time (Engine::set_kill_time) — the rank-crash
 /// fault primitive. Deliberately NOT derived from std::exception:
 /// application-level `catch (const std::exception&)` recovery must not
@@ -79,9 +71,11 @@ class Waitable {
 };
 
 /// Handle a process body uses to interact with virtual time.
-/// Only valid on its own thread, during Engine::run.
+/// Only valid inside its own body, during Engine::run.
 class Process {
  public:
+  ~Process();
+
   [[nodiscard]] int index() const noexcept { return index_; }
 
   /// Current virtual time.
@@ -106,8 +100,8 @@ class Process {
 
   /// Runs @p work on the host, measures its wall-clock duration, and
   /// advances the virtual clock by duration * scale *
-  /// engine.charge_scale(). Returns the measured seconds. Because the
-  /// engine serializes process threads the measurement is uncontended.
+  /// engine.charge_scale(). Returns the measured seconds. Because only
+  /// one process runs at a time the measurement is uncontended.
   double charge(const std::function<void()>& work, double scale = 1.0);
 
   /// Yields without consuming time (reschedules at `now`); lets other
@@ -119,23 +113,20 @@ class Process {
 
  private:
   friend class Engine;
-  explicit Process(Engine& engine, int index)
-      : engine_(&engine), index_(index) {}
+  /// Saved registers, stack and exception state of a coroutine.
+  struct Context;
+  Process(Engine& engine, int index);
 
   Engine* engine_;
   int index_;
-  // Host-thread handoff state, guarded by the engine mutex.
-  std::condition_variable cv_;
-  bool granted_ = false;
   bool done_ = false;
-  /// Bumped every time the process is granted the execution token;
-  /// heap entries carrying an older epoch are stale (e.g. the unused
-  /// timeout wake-up of a wait_for that was notified first).
+  /// Bumped on every resume; heap entries with an older epoch are stale
+  /// (e.g. the timeout wake-up of a wait_for notified first).
   std::uint64_t wake_epoch_ = 0;
   /// Virtual time at which this process is permanently killed
   /// (infinity = never). See Engine::set_kill_time.
   Time kill_at_ = std::numeric_limits<Time>::infinity();
-  std::thread thread_;
+  std::unique_ptr<Context> context_;
 };
 
 /// The simulation engine. Construct with the number of processes,
@@ -152,9 +143,9 @@ class Engine {
     return static_cast<int>(procs_.size());
   }
 
-  /// Runs every process body to completion; returns the final virtual
-  /// time. Rethrows the first exception a process body threw.
-  /// May be called repeatedly; virtual time continues from the last run.
+  /// Runs every process body to completion on the calling thread and
+  /// returns the final virtual time; rethrows the first exception a body
+  /// threw. May be called repeatedly; virtual time continues from there.
   Time run(const std::function<void(Process&)>& body);
 
   /// Virtual clock (meaningful during and after run()).
@@ -164,9 +155,7 @@ class Engine {
   /// wake/advance enqueued on the ready heap). The benchmark
   /// trajectory layer divides this by host wall-clock to report the
   /// engine's events-per-second as a host-performance metric.
-  [[nodiscard]] std::uint64_t scheduled_events() const noexcept {
-    return seq_;
-  }
+  [[nodiscard]] std::uint64_t scheduled_events() const noexcept { return seq_; }
 
   /// Global multiplier applied to Process::charge measurements. Used
   /// to calibrate the simulated CPU speed against the host (e.g. to
@@ -181,17 +170,15 @@ class Engine {
   /// the verification layer reruns programs under several salts to
   /// flush schedule-dependent message matches. Takes effect for
   /// events scheduled after the call; set it before run().
-  void set_tiebreak_salt(std::uint64_t salt) noexcept {
-    tiebreak_salt_ = salt;
-  }
+  void set_tiebreak_salt(std::uint64_t salt) noexcept { tiebreak_salt_ = salt; }
   [[nodiscard]] std::uint64_t tiebreak_salt() const noexcept {
     return tiebreak_salt_;
   }
 
   /// Installs an observer invoked after every Process::charge bills
   /// the virtual clock, with (process index, virtual begin, virtual
-  /// end) of the billed interval. Observation only: runs on the
-  /// charging process thread after the advance completed and must not
+  /// end) of the billed interval. Observation only: runs in the
+  /// charging process after the advance completed and must not
   /// call back into the scheduling API. Used by the tracing layer to
   /// attribute charged compute/crypto time; pass an empty function to
   /// uninstall. Set it before run().
@@ -202,7 +189,7 @@ class Engine {
   /// Installs a callback invoked when the engine detects a global
   /// deadlock (every live process parked on a Waitable, empty event
   /// queue); its return value is appended to the sim::Deadlock
-  /// message. Runs on a process thread with the scheduler lock held:
+  /// message. Runs in the scheduler loop while every process is parked:
   /// it must not call back into this engine's scheduling API (reading
   /// now()/size() is fine). Exceptions it throws are swallowed.
   void set_deadlock_explainer(std::function<std::string()> explainer) {
@@ -211,7 +198,7 @@ class Engine {
 
   /// Arms a permanent crash of process @p index: the first time that
   /// process would run at or after virtual time @p at, sim::Killed is
-  /// thrown on its thread instead (compute that would cross the kill
+  /// thrown in its body instead (compute that would cross the kill
   /// time is capped at it, and a parked process is woken at the kill
   /// time to die). Pass infinity to disarm. Set before run(); kill
   /// times persist across runs until overwritten.
@@ -223,10 +210,8 @@ class Engine {
   }
 
   /// True once the current run began tearing down after an error or
-  /// deadlock (process bodies unwind concurrently from that point).
-  [[nodiscard]] bool aborted() const noexcept {
-    return aborted_.load(std::memory_order_relaxed);
-  }
+  /// deadlock (unfinished processes are then resumed once to unwind).
+  [[nodiscard]] bool aborted() const noexcept { return aborted_; }
 
  private:
   friend class Process;
@@ -241,36 +226,36 @@ class Engine {
     }
   };
 
-  using Lock = std::unique_lock<std::mutex>;
+  void schedule(Process& p, Time at);
+  /// Pops the next process to resume, dropping stale entries and moving
+  /// the clock to its wake-up; nullptr if none, or if it is not @p only.
+  Process* pop_ready(const Process* only = nullptr);
+  /// advance, wait and wait_for in one: parks @p self until @p timeout
+  /// passes or a notify on @p w releases it (returns true).
+  bool suspend(Process& self, Time timeout, Waitable* w);
+  void proc_notify(Waitable& w, bool all);
+  void check_abort() const { if (aborted_) throw Aborted{}; }
+  void check_kill(const Process& self) const {
+    if (clock_ >= self.kill_at_) throw Killed{self.index_, self.kill_at_};
+  }
+  /// Entry point of every process coroutine.
+  static void start_process(int index);
 
-  // All *_locked functions require mu_ held.
-  void schedule_locked(Process& p, Time at);
-  void grant_next_locked();
-  void block_self_locked(Process& self, Lock& lk);
-  void finish_locked(Process& self, Lock& lk);
-  void check_abort_locked() const;
-  void check_kill_locked(const Process& self) const;
-
-  void proc_advance(Process& self, Time dt);
-  void proc_wait(Process& self, Waitable& w);
-  bool proc_wait_for(Process& self, Waitable& w, Time timeout);
-  void proc_notify(Process& self, Waitable& w, bool all);
-
-  mutable std::mutex mu_;
-  std::condition_variable main_cv_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       ready_;
   Time clock_ = 0.0;
   std::uint64_t seq_ = 0;
   int unfinished_ = 0;
-  int waiting_on_conditions_ = 0;
-  std::atomic<bool> aborted_{false};
+  bool aborted_ = false;
   double charge_scale_ = 1.0;
   std::uint64_t tiebreak_salt_ = 0;
   std::function<std::string()> deadlock_explainer_;
   std::function<void(int, Time, Time)> charge_observer_;
   std::exception_ptr first_error_;
+  // The current (or last) run() call.
+  const std::function<void(Process&)>* body_ = nullptr;
+  Process::Context* scheduler_ = nullptr;
 };
 
 }  // namespace emc::sim

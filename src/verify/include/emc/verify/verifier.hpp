@@ -18,14 +18,13 @@
 //     still sitting in a mailbox at the end of a run.
 //
 // All hooks are invoked from the currently running simulated process
-// (engine-serialized), except request-teardown hooks which may run
-// concurrently during abort unwinding — recording is mutex-guarded.
-// Hooks never advance virtual time, so enabling verification does not
-// change the schedule: a verified run replays the unverified one.
+// (or, for the deadlock report, the engine's scheduler loop), one at a
+// time, so no state here needs a lock. Hooks never advance virtual
+// time, so enabling verification does not change the schedule: a
+// verified run replays the unverified one.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -117,7 +116,7 @@ class Verifier {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Snapshot of everything recorded so far (thread-safe copy).
+  /// Copy of everything recorded so far.
   [[nodiscard]] std::vector<Diagnostic> diagnostics() const;
   [[nodiscard]] std::size_t error_count() const;
   /// True when no error-severity diagnostic has been recorded.
@@ -235,7 +234,6 @@ class Verifier {
   Config config_;
   sim::Engine* engine_;
 
-  mutable std::mutex mu_;  ///< guards diagnostics_ (teardown may race)
   std::vector<Diagnostic> diagnostics_;
   std::size_t errors_ = 0;
   std::size_t pending_throw_ = 0;  ///< errors recorded but not yet thrown

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "emc/sim/engine.hpp"
@@ -344,6 +347,134 @@ TEST(Engine, ThrowingDeadlockExplainerIsSwallowed) {
       []() -> std::string { throw std::runtime_error("broken explainer"); });
   Waitable never;
   EXPECT_THROW(engine.run([&never](Process& p) { p.wait(never); }), Deadlock);
+}
+
+TEST(Engine, EachProcessRethrowsItsOwnCaughtException) {
+  // Both processes block inside their catch handlers; p0 leaves its
+  // handler first although p1 entered its own later (non-LIFO), so a
+  // caught-exception chain shared between processes would hand p0
+  // p1's exception on `throw;`.
+  Engine engine(2);
+  std::vector<std::string> rethrown(2);
+  engine.run([&](Process& p) {
+    const auto i = static_cast<std::size_t>(p.index());
+    try {
+      throw std::runtime_error("mine-" + std::to_string(i));
+    } catch (const std::runtime_error&) {
+      try {
+        p.advance(i == 0 ? 1.0 : 0.5);
+        p.advance(i == 0 ? 1.0 : 5.0);
+        throw;
+      } catch (const std::runtime_error& e) {
+        rethrown[i] = e.what();
+      }
+    }
+  });
+  EXPECT_EQ(rethrown[0], "mine-0");
+  EXPECT_EQ(rethrown[1], "mine-1");
+}
+
+TEST(Engine, UncaughtExceptionCountIsPerProcess) {
+  // p0 blocks in a destructor while its exception unwinds; p1 runs
+  // meanwhile and must not see p0's in-flight exception.
+  struct BlockingGuard {
+    Process& p;
+    int* seen;
+    ~BlockingGuard() {
+      p.advance(1.0);
+      *seen = std::uncaught_exceptions();
+    }
+  };
+  Engine engine(2);
+  int seen_unwinding = -1;
+  int seen_other = -1;
+  engine.run([&](Process& p) {
+    if (p.index() == 0) {
+      try {
+        BlockingGuard guard{p, &seen_unwinding};
+        throw std::runtime_error("unwinding");
+      } catch (const std::runtime_error&) {
+      }
+    } else {
+      p.advance(0.5);
+      seen_other = std::uncaught_exceptions();
+    }
+  });
+  EXPECT_EQ(seen_unwinding, 1);
+  EXPECT_EQ(seen_other, 0);
+}
+
+TEST(Engine, RingOf4096ProcessesFinishesAtClosedFormClock) {
+  // A token travels a 4096-process ring twice; every holder advances
+  // dt (a power of two, so the sum is exact) and wakes its successor.
+  constexpr int kProcs = 4096;
+  constexpr int kLaps = 2;
+  constexpr Time kDt = 1.0 / 1024;
+  Engine engine(kProcs);
+  std::vector<Waitable> turn(kProcs);
+  int holder = 0;
+  long hops = 0;
+  const Time end = engine.run([&](Process& p) {
+    const int i = p.index();
+    for (int lap = 0; lap < kLaps; ++lap) {
+      while (holder != i) p.wait(turn[static_cast<std::size_t>(i)]);
+      p.advance(kDt);
+      ++hops;
+      holder = (i + 1) % kProcs;
+      p.notify_one(turn[static_cast<std::size_t>(holder)]);
+    }
+  });
+  EXPECT_EQ(hops, static_cast<long>(kProcs) * kLaps);
+  EXPECT_EQ(end, kProcs * kLaps * kDt);
+}
+
+// Runs three processes that each advance 1.0 and returns their resume
+// times; used to check that an engine is clean after a failed run.
+std::vector<Time> resume_times_after(Engine& engine) {
+  std::vector<Time> resumed(3, -1.0);
+  engine.run([&resumed](Process& p) {
+    p.advance(1.0);
+    resumed[static_cast<std::size_t>(p.index())] = p.now();
+  });
+  return resumed;
+}
+
+TEST(Engine, RunsCleanlyAfterDeadlock) {
+  Engine engine(3);
+  Waitable never;
+  EXPECT_THROW(engine.run([&never](Process& p) {
+                 p.advance(p.index() + 1.0);
+                 p.wait(never);
+               }),
+               Deadlock);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+  const std::uint64_t events = engine.scheduled_events();
+  EXPECT_EQ(resume_times_after(engine), (std::vector<Time>{4.0, 4.0, 4.0}));
+  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
+  EXPECT_EQ(engine.scheduled_events() - events, 6u);  // start + advance
+  EXPECT_FALSE(engine.aborted());
+}
+
+TEST(Engine, RunsCleanlyAfterBodyException) {
+  // p1's wake-up at t=10 is still queued when p0 throws at t=1; the
+  // next run must neither fire it nor start from its time.
+  Engine engine(3);
+  Waitable never;
+  EXPECT_THROW(engine.run([&never](Process& p) {
+                 if (p.index() == 0) {
+                   p.advance(1.0);
+                   throw std::logic_error("boom");
+                 }
+                 if (p.index() == 1) p.advance(10.0);
+                 p.wait(never);
+               }),
+               std::logic_error);
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+  const std::uint64_t events = engine.scheduled_events();
+  EXPECT_EQ(resume_times_after(engine), (std::vector<Time>{2.0, 2.0, 2.0}));
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.scheduled_events() - events, 6u);
+  EXPECT_FALSE(engine.aborted());
 }
 
 }  // namespace
