@@ -400,12 +400,14 @@ class SecureComm final : public mpi::Communicator {
                                       MutBytes user);
 
   /// Receiver side of the pipeline, entered with the first chunk
-  /// frame of a message already received: receives the remaining
-  /// frames, opens every chunk on helper cores while later chunks are
-  /// still on the wire, reassembles into @p user, and stalls only for
-  /// crypto the wire did not hide. Returns std::nullopt when the
-  /// frame was a stale duplicate of an already-delivered message.
-  std::optional<mpi::Status> open_pipelined(MutBytes first_frame,
+  /// frame of a message already received into @p wire_buf (open_any's
+  /// buffer, recv_wire_capacity(user.size()) bytes): receives the
+  /// remaining frames into that same buffer, opens every chunk on
+  /// helper cores while later chunks are still on the wire,
+  /// reassembles into @p user, and stalls only for crypto the wire did
+  /// not hide. Returns std::nullopt when the frame was a stale
+  /// duplicate of an already-delivered message.
+  std::optional<mpi::Status> open_pipelined(MutBytes wire_buf,
                                             const mpi::Status& wire_status,
                                             MutBytes user);
 

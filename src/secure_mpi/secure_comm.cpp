@@ -525,7 +525,7 @@ std::optional<mpi::Status> SecureComm::open_any(
     const bool chunk = looks_like_chunk(frame);
     if (chunk && pipe_header_plausible(load_pipe_header(frame.data()),
                                        frame.size(), user.size())) {
-      return open_pipelined(frame, wire_status, user);
+      return open_pipelined(wire_buf, wire_status, user);
     }
     if (!chunk) {
       const std::size_t pt_len = checked_pt_len(frame.size(), user.size());
@@ -555,9 +555,10 @@ std::optional<mpi::Status> SecureComm::open_any(
 }
 
 std::optional<mpi::Status> SecureComm::open_pipelined(
-    MutBytes first_frame, const mpi::Status& wire_status, MutBytes user) {
+    MutBytes wire_buf, const mpi::Status& wire_status, MutBytes user) {
   const int src = wire_status.source;
   const int tag = wire_status.tag;
+  const MutBytes first_frame = wire_buf.first(wire_status.bytes);
   const PipeChunkHeader first = load_pipe_header(first_frame.data());
   std::uint64_t& next_id = pipe_recv_next_[{src, tag}];
   if (first.msg_id < next_id) {
@@ -646,11 +647,12 @@ std::optional<mpi::Status> SecureComm::open_pipelined(
     }
   };
 
+  // accept_chunk is done with a frame when it returns, so the later
+  // frames are received into the same buffer.
   accept_chunk(first_frame);
-  Bytes wire(recv_wire_capacity(cap));
   while (have_n < count) {
-    const mpi::Status ws = comm_->recv(wire, src, tag);
-    const MutBytes frame = MutBytes(wire).first(ws.bytes);
+    const mpi::Status ws = comm_->recv(wire_buf, src, tag);
+    const MutBytes frame = wire_buf.first(ws.bytes);
     if (!looks_like_chunk(frame)) {
       // A non-chunk frame inside a pipelined message: wire damage
       // destroyed the magic (recoverable under ARQ) or the channel is

@@ -1,13 +1,28 @@
+// Engine implementation. Each process runs on its own mmap'ed stack,
+// entered and left through emc_sim_switch_context below: a hand-written
+// x86-64 SysV context switch. It saves what the ABI makes callee-saved
+// — rbx, rbp, r12–r15, MXCSR and the x87 control word — on the
+// outgoing stack, and restores the incoming stack's copy. Unlike glibc's swapcontext it makes no sigprocmask
+// system call and does not save the whole x87 environment, so a switch
+// never leaves user space. Deliberately not kept per process:
+//  - the signal mask: nothing in the simulator changes it, so every
+//    process shares the thread's;
+//  - the x87 status word and exception flags: caller-saved under the
+//    ABI (MXCSR is saved whole, so its SSE flags travel with it, but
+//    nothing may rely on that).
+// The switch uses no shadow stack (CET SHSTK) and is x86-64 only.
 #include "emc/sim/engine.hpp"
 
 #include <cxxabi.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <new>
+#include <system_error>
 #include <utility>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -19,6 +34,79 @@
 
 #include "emc/common/timer.hpp"
 
+#if !defined(__x86_64__)
+#error "emc::sim: port emc_sim_switch_context and SwitchFrame (src/sim/engine.cpp) to this architecture"
+#endif
+
+/// Saves the running context's callee-saved state on its stack, stores
+/// its stack pointer in *@p from, and resumes the context whose saved
+/// stack pointer is @p to. Returns when another switch resumes *from.
+extern "C" void emc_sim_switch_context(void** from, void* to);
+/// Return address of a new context's first frame: calls rbx(r12d), which
+/// never returns. `.cfi_undefined rip` ends every backtrace here.
+extern "C" void emc_sim_context_entry();
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl emc_sim_switch_context
+  .hidden emc_sim_switch_context
+  .type emc_sim_switch_context, @function
+emc_sim_switch_context:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp                # every saved stack has the same layout
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size emc_sim_switch_context, .-emc_sim_switch_context
+
+  .p2align 4
+  .globl emc_sim_context_entry
+  .hidden emc_sim_context_entry
+  .type emc_sim_context_entry, @function
+emc_sim_context_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movl %r12d, %edi
+  call *%rbx
+  ud2
+  .cfi_endproc
+  .size emc_sim_context_entry, .-emc_sim_context_entry
+  .popsection
+)");
+
 namespace emc::sim {
 
 namespace {
@@ -27,6 +115,22 @@ namespace {
 /// so that only the pages a body touches are committed.
 constexpr std::size_t kStackBytes = std::size_t{8} << 20;
 const auto kGuardBytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+/// A suspended context's stack at its saved stack pointer, lowest
+/// address first: what emc_sim_switch_context pops to resume it.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t unused;
+  std::uint64_t r15;
+  std::uint64_t r14;
+  std::uint64_t r13;
+  std::uint64_t r12;  ///< a new context: its process index
+  void (*rbx)(int);   ///< a new context: Engine::start_process
+  std::uint64_t rbp;  ///< a new context: 0, ending frame-pointer walks
+  void (*ret)();      ///< a new context: emc_sim_context_entry
+};
+static_assert(sizeof(SwitchFrame) == 64);
 
 /// libstdc++'s per-thread exception state (its unwind-cxx.h): the caught
 /// exceptions that `throw;` rethrows and std::uncaught_exceptions().
@@ -52,7 +156,7 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }  // namespace
 
 struct Process::Context {
-  ucontext_t uc{};
+  void* sp = nullptr;  ///< saved stack pointer while suspended
   EhGlobals eh;
   char* stack = nullptr;  ///< lowest mapped byte: the PROT_NONE guard page
   // Sanitizer fiber state (ASan fake stack and stack bounds, TSan fiber).
@@ -63,7 +167,8 @@ struct Process::Context {
 
   ~Context() { if (stack != nullptr) munmap(stack, kGuardBytes + kStackBytes); }
 
-  /// Sets the context to enter Engine::start_process(@p index).
+  /// Sets the context to enter Engine::start_process(@p index), with the
+  /// creating thread's FP control state.
   void start(int index) {
     if (stack == nullptr) {
       void* base = mmap(nullptr, kGuardBytes + kStackBytes,
@@ -71,14 +176,25 @@ struct Process::Context {
                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
                         -1, 0);
       if (base == MAP_FAILED) throw std::bad_alloc();
+      // Fails with ENOMEM once the process has vm.max_map_count
+      // mappings; an unguarded stack would overflow silently.
+      if (mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+        const int err = errno;
+        munmap(base, kGuardBytes + kStackBytes);
+        throw std::system_error(err, std::generic_category(),
+                                "guard page for a process stack");
+      }
       stack = static_cast<char*>(base);
-      mprotect(stack, kGuardBytes, PROT_NONE);
     }
-    getcontext(&uc);
-    uc.uc_stack.ss_sp = stack + kGuardBytes;
-    uc.uc_stack.ss_size = kStackBytes;  // uc_link stays null: never returns
-    makecontext(&uc, reinterpret_cast<void (*)()>(&Engine::start_process), 1,
-                index);
+    // The entry's call leaves start_process with rsp ≡ 8 (mod 16), as
+    // after any call: the frame's return slot ends at the 16-aligned top.
+    SwitchFrame frame{};
+    asm("stmxcsr %0\n\tfnstcw %1" : "=m"(frame.mxcsr), "=m"(frame.x87_cw));
+    frame.r12 = static_cast<std::uint32_t>(index);
+    frame.rbx = &Engine::start_process;
+    frame.ret = &emc_sim_context_entry;
+    sp = stack + kGuardBytes + kStackBytes - sizeof frame;
+    std::memcpy(sp, &frame, sizeof frame);
     eh = EhGlobals{};
     bottom = stack + kGuardBytes;
     size = kStackBytes;
@@ -99,7 +215,7 @@ struct Process::Context {
 #if defined(__SANITIZE_THREAD__)
     __tsan_switch_to_fiber(to.fiber, 0);
 #endif
-    swapcontext(&uc, &to.uc);
+    emc_sim_switch_context(&sp, to.sp);
     // Resumed: the scheduler only ever switches back from the process
     // it resumed (@p to), and a process only from the scheduler.
 #if defined(__SANITIZE_ADDRESS__)

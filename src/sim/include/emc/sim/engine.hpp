@@ -9,6 +9,13 @@
 // `Process::charge` measures host time without interference from
 // other simulated ranks. This is sequential DES with coroutines as
 // continuations, the execution style of SimGrid's actor contexts.
+//
+// A switch is a hand-written x86-64 context swap (engine.cpp; the
+// engine builds on x86-64 only). Per process it keeps the callee-saved
+// registers, the MXCSR and x87 control words (so rounding modes are
+// per process) and libstdc++'s exception state. It keeps no signal
+// mask, since nothing in the simulator sets one, and no x87/SSE
+// exception status flags, which the ABI makes caller-saved.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,12 @@
 // Discrete-event engine semantics: virtual-clock ordering,
-// determinism, waitable hand-off, charge accounting, error paths.
+// determinism, waitable hand-off, charge accounting, error paths, and
+// the per-process machine state the context switch must carry.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -475,6 +479,110 @@ TEST(Engine, RunsCleanlyAfterBodyException) {
   EXPECT_DOUBLE_EQ(engine.now(), 2.0);
   EXPECT_EQ(engine.scheduled_events() - events, 6u);
   EXPECT_FALSE(engine.aborted());
+}
+
+// Divides at run time, so the result reflects the current SSE
+// rounding mode rather than a value folded at compile time.
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(Engine, RoundingModeIsPerProcess) {
+  // p0 rounds upward across blocking switches; p1 runs in between and,
+  // like the caller of run(), keeps round-to-nearest. fegetround reads
+  // the x87 control word; one_third() exercises MXCSR.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  Engine engine(2);
+  std::vector<int> modes;
+  bool p0_rounded_up = false;
+  bool p1_rounded_nearest = false;
+  engine.run([&](Process& p) {
+    if (p.index() == 0) {
+      std::fesetround(FE_UPWARD);
+      p.advance(1.0);
+      modes.push_back(std::fegetround());
+      p.advance(1.0);
+      modes.push_back(std::fegetround());
+      p0_rounded_up = one_third() > nearest;
+    } else {
+      p.advance(0.5);
+      modes.push_back(std::fegetround());
+      p.advance(1.0);
+      modes.push_back(std::fegetround());
+      p1_rounded_nearest = one_third() == nearest;
+    }
+  });
+  const int caller_mode = std::fegetround();
+  const bool caller_rounds_nearest = one_third() == nearest;
+  std::fesetround(FE_TONEAREST);  // keep later tests sane on failure
+  EXPECT_EQ(modes, (std::vector<int>{FE_TONEAREST, FE_UPWARD,
+                                     FE_TONEAREST, FE_UPWARD}));
+  EXPECT_TRUE(p0_rounded_up);
+  EXPECT_TRUE(p1_rounded_nearest);
+  EXPECT_EQ(caller_mode, FE_TONEAREST);
+  EXPECT_TRUE(caller_rounds_nearest);
+}
+
+TEST(Engine, FirstActivationHasAbiStackAlignment) {
+  // A varargs call with floating-point arguments spills the vector
+  // registers with aligned stores, so it faults on a stack that is not
+  // 16-byte aligned at the call. It runs before any switch back, on the
+  // frame the engine built for the process.
+  Engine engine(3);
+  std::vector<std::string> printed(3);
+  std::vector<std::uintptr_t> misalignment(3, 1);
+  engine.run([&](Process& p) {
+    alignas(16) char buf[32];
+    std::snprintf(buf, sizeof buf, "%.1f %.1Lf", 1.5 + p.index(), 2.5L);
+    const auto i = static_cast<std::size_t>(p.index());
+    printed[i] = buf;
+    misalignment[i] = reinterpret_cast<std::uintptr_t>(buf) % 16;
+  });
+  EXPECT_EQ(printed, (std::vector<std::string>{"1.5 2.5", "2.5 2.5",
+                                               "3.5 2.5"}));
+  EXPECT_EQ(misalignment, (std::vector<std::uintptr_t>{0, 0, 0}));
+}
+
+// Throws from @p depth frames down; every frame has a destructor, so
+// the unwinder must run a cleanup in each of them on its way out.
+[[gnu::noinline]] int throw_from_depth(int depth, int& unwound) {
+  struct Count {
+    int& n;
+    ~Count() { ++n; }
+  } count{unwound};
+  if (depth == 0) throw std::runtime_error("deep");
+  return throw_from_depth(depth - 1, unwound) + 1;
+}
+
+TEST(Engine, ExceptionFromDeepFramesIsCaughtOnFirstActivation) {
+  Engine engine(2);
+  std::vector<int> unwound(2, 0);
+  std::vector<std::string> caught(2);
+  engine.run([&](Process& p) {
+    const auto i = static_cast<std::size_t>(p.index());
+    try {
+      throw_from_depth(1000, unwound[i]);
+    } catch (const std::runtime_error& e) {
+      caught[i] = e.what();
+    }
+    p.advance(1.0);
+  });
+  EXPECT_EQ(unwound, (std::vector<int>{1001, 1001}));
+  EXPECT_EQ(caught, (std::vector<std::string>{"deep", "deep"}));
+}
+
+TEST(Engine, UncaughtExceptionFromDeepFramesIsRethrownByRun) {
+  Engine engine(2);
+  int unwound = 0;
+  EXPECT_THROW(engine.run([&unwound](Process& p) {
+                 if (p.index() == 1) throw_from_depth(1000, unwound);
+                 p.advance(1.0);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(unwound, 1001);
 }
 
 }  // namespace
